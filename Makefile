@@ -24,9 +24,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/datagen/... ./internal/engine/ ./internal/loadgen/ \
-		./internal/suites/ ./internal/scenario/ ./internal/metrics/ ./internal/stats/ \
-		./internal/runstore/ ./internal/stacks/... ./internal/cluster/...
+	$(GO) test -race ./...
 
 # bench runs every benchmark with -benchmem, gates the result against the
 # checked-in baseline (ns/op geomean + exact-zero allocs/op), and writes a

@@ -11,7 +11,6 @@ package nosql
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -20,6 +19,11 @@ import (
 )
 
 // Record is a field-name -> value document, YCSB's record model.
+//
+// Stored records are copy-on-write: a map is never mutated after the store
+// installs it, and every writer (Insert, Update, ReadModifyWrite) installs a
+// fresh map instead. A reference taken under a partition lock therefore stays
+// immutable after the lock is released; Scan depends on this.
 type Record map[string]string
 
 // clone returns a deep copy; the store never aliases caller maps.
@@ -34,7 +38,9 @@ func (r Record) clone() Record {
 // ErrNotFound is returned for reads/updates/deletes of absent keys.
 var ErrNotFound = errors.New("nosql: key not found")
 
-// Store is the partitioned KV store.
+// Store is the partitioned KV store. It never mutates a stored Record in
+// place (see Record), and it never hands a stored map to a caller: every
+// read and scan result is a clone.
 type Store struct {
 	parts   []*partition
 	scanRec metrics.Recorder
@@ -181,29 +187,48 @@ type KV struct {
 }
 
 // Scan returns up to limit records with keys >= start, in global key order,
-// by scatter-gathering the per-partition ordered lists.
+// by scatter-gathering the per-partition ordered lists. Each partition
+// contributes at most limit entries by reference, under its own read lock;
+// a bounded merge of those sorted runs picks the limit smallest keys, and
+// only those survivors are cloned. Holding references past the unlock is
+// safe because stored records are copy-on-write.
 func (s *Store) Scan(start string, limit int) []KV {
 	if limit <= 0 {
 		return nil
 	}
 	t0 := metrics.StartTimer(s.scanRec)
 	defer metrics.ObserveSince(s.scanRec, "kv_scan", t0)
-	var all []KV
-	for _, p := range s.parts {
+	runs := make([][]KV, len(s.parts))
+	total := 0
+	for i, p := range s.parts {
 		p.mu.RLock()
-		taken := 0
+		run := make([]KV, 0, min(limit, p.list.len()))
 		p.list.scanFrom(start, func(key string, rec Record) bool {
-			all = append(all, KV{Key: key, Rec: rec.clone()})
-			taken++
-			return taken < limit // each partition contributes at most limit
+			run = append(run, KV{Key: key, Rec: rec})
+			return len(run) < limit
 		})
 		p.mu.RUnlock()
+		runs[i] = run
+		total += len(run)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	if len(all) > limit {
-		all = all[:limit]
+	if total == 0 {
+		return nil
 	}
-	return all
+	n := min(limit, total)
+	out := make([]KV, 0, n)
+	for len(out) < n {
+		// Keys are unique across partitions, so the minimum head is unique.
+		best := -1
+		for i, run := range runs {
+			if len(run) > 0 && (best < 0 || run[0].Key < runs[best][0].Key) {
+				best = i
+			}
+		}
+		kv := runs[best][0]
+		runs[best] = runs[best][1:]
+		out = append(out, KV{Key: kv.Key, Rec: kv.Rec.clone()})
+	}
+	return out
 }
 
 // Size returns the total number of records.

@@ -6,11 +6,10 @@ import "github.com/bdbench/bdbench/internal/stats"
 // the memtable structure of the store. It is not safe for concurrent use;
 // each partition guards its list with a mutex.
 type skipList struct {
-	head     *skipNode
-	level    int
-	length   int
-	g        *stats.RNG
-	maxLevel int
+	head   *skipNode
+	level  int
+	length int
+	g      *stats.RNG
 }
 
 type skipNode struct {
@@ -23,23 +22,23 @@ const defaultMaxLevel = 24
 
 func newSkipList(g *stats.RNG) *skipList {
 	return &skipList{
-		head:     &skipNode{next: make([]*skipNode, defaultMaxLevel)},
-		level:    1,
-		g:        g,
-		maxLevel: defaultMaxLevel,
+		head:  &skipNode{next: make([]*skipNode, defaultMaxLevel)},
+		level: 1,
+		g:     g,
 	}
 }
 
 func (s *skipList) randomLevel() int {
 	lvl := 1
-	for lvl < s.maxLevel && s.g.Bool(0.25) {
+	for lvl < defaultMaxLevel && s.g.Bool(0.25) {
 		lvl++
 	}
 	return lvl
 }
 
 // findPath fills update with the rightmost node before key at every level.
-func (s *skipList) findPath(key string, update []*skipNode) *skipNode {
+// Callers pass a stack array so writes do not allocate a path per call.
+func (s *skipList) findPath(key string, update *[defaultMaxLevel]*skipNode) *skipNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
@@ -67,8 +66,8 @@ func (s *skipList) get(key string) (Record, bool) {
 
 // set inserts or replaces key's record; it reports whether the key was new.
 func (s *skipList) set(key string, val Record) bool {
-	update := make([]*skipNode, s.maxLevel)
-	found := s.findPath(key, update)
+	var update [defaultMaxLevel]*skipNode
+	found := s.findPath(key, &update)
 	if found != nil && found.key == key {
 		found.val = val
 		return false
@@ -91,8 +90,8 @@ func (s *skipList) set(key string, val Record) bool {
 
 // del removes key; it reports whether the key existed.
 func (s *skipList) del(key string) bool {
-	update := make([]*skipNode, s.maxLevel)
-	found := s.findPath(key, update)
+	var update [defaultMaxLevel]*skipNode
+	found := s.findPath(key, &update)
 	if found == nil || found.key != key {
 		return false
 	}
