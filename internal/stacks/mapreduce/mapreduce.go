@@ -1,17 +1,17 @@
 // Package mapreduce is bdbench's Hadoop-substitute: an in-process MapReduce
 // engine with input splits, parallel map tasks, combiners, hash or custom
-// partitioning, a sort-based shuffle, and parallel reduce tasks. Workloads
-// that the paper's surveyed benchmarks run on Hadoop (sort, WordCount,
-// TeraSort, PageRank iterations, k-means iterations, ...) run on this engine
-// through the same map/reduce contract.
+// partitioning, map-side sort, reduce-side merge, and parallel reduce tasks.
+// Workloads that the paper's surveyed benchmarks run on Hadoop (sort,
+// WordCount, TeraSort, PageRank iterations, k-means iterations, ...) run on
+// this engine through the same map/reduce contract.
 package mapreduce
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stacks"
@@ -52,10 +52,6 @@ type Job struct {
 	// NumMappers and NumReducers default to the engine worker count.
 	NumMappers  int
 	NumReducers int
-	// SortOutput, when true, concatenates reduce partitions in partition
-	// order with each partition's groups key-sorted (needed by sort
-	// workloads with range partitioners).
-	SortOutput bool
 }
 
 // Stats captures the architecture metrics of one job run.
@@ -66,9 +62,6 @@ type Stats struct {
 	ShuffleBytes      int64
 	ReduceGroups      int64
 	OutputRecords     int64
-	MapWall           time.Duration
-	ShuffleWall       time.Duration
-	ReduceWall        time.Duration
 }
 
 // Engine is a simulated cluster with a fixed worker pool.
@@ -107,7 +100,11 @@ func (e *Engine) Workers() int { return e.workers }
 var _ stacks.Stack = (*Engine)(nil)
 
 // Run executes the job over the input and returns the output records plus
-// run statistics.
+// run statistics. A reducing job's output is its reduce partitions in
+// partition order, each one key-sorted with groups reduced in key order, so
+// a RangePartitioner yields globally sorted output. A map-only job's output
+// is never sorted: mapper by mapper, each mapper's partition buckets in
+// partition order, each bucket in emit order.
 func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	if job.Map == nil {
 		return nil, Stats{}, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
@@ -158,10 +155,10 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	}
 
 	// ---- Map phase: each mapper owns a split and emits into
-	// per-partition buffers.
-	mapStart := time.Now()
-	mapOut := make([][][]KV, numMappers) // mapper -> partition -> records
-	var mapOutCount, combineOutCount int64
+	// per-partition buckets. When the job reduces, each bucket leaves the
+	// task as a key-sorted run, so the shuffle is a merge, not a sort.
+	mapOut := make([][][]KV, numMappers) // mapper -> partition -> sorted run
+	var mapOutCount, combineOutCount, shuffleBytes, groupCount atomic.Int64
 	var wg sync.WaitGroup
 	for m := 0; m < numMappers; m++ {
 		wg.Add(1)
@@ -180,25 +177,32 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 			emit := func(k, v string) {
 				p := partition(k, numReducers)
 				buckets[p] = append(buckets[p], KV{k, v})
-				atomic.AddInt64(&mapOutCount, 1)
 			}
 			for _, rec := range input[lo:hi] {
 				job.Map(rec.Key, rec.Value, emit)
 			}
-			if job.Combine != nil {
-				for p := range buckets {
-					buckets[p] = combine(job.Combine, buckets[p])
-					atomic.AddInt64(&combineOutCount, int64(len(buckets[p])))
+			var sorter runSorter
+			var emitted, combined int64
+			for p := range buckets {
+				emitted += int64(len(buckets[p]))
+				if job.Combine != nil {
+					sorter.sort(buckets[p])
+					buckets[p], _ = groupFold(job.Combine, [][]KV{buckets[p]})
+					combined += int64(len(buckets[p]))
+				}
+				if job.Reduce != nil {
+					sorter.sort(buckets[p])
 				}
 			}
+			mapOutCount.Add(emitted)
+			combineOutCount.Add(combined)
 			mapOut[m] = buckets
 			taskRef.ObserveSince(taskStart)
 		}(m)
 	}
 	wg.Wait()
-	st.MapWall = time.Since(mapStart)
-	st.MapOutputRecords = mapOutCount
-	st.CombineOutRecords = combineOutCount
+	st.MapOutputRecords = mapOutCount.Load()
+	st.CombineOutRecords = combineOutCount.Load()
 
 	// Map-only job: concatenate mapper outputs in mapper order.
 	if job.Reduce == nil {
@@ -212,29 +216,9 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 		return out, st, nil
 	}
 
-	// ---- Shuffle phase: gather each partition from all mappers and sort
-	// by key (the merge-sort the real shuffle performs).
-	shuffleStart := time.Now()
-	partitions := make([][]KV, numReducers)
-	var shuffleBytes int64
-	for p := 0; p < numReducers; p++ {
-		var part []KV
-		for m := 0; m < numMappers; m++ {
-			part = append(part, mapOut[m][p]...)
-		}
-		for _, kv := range part {
-			shuffleBytes += int64(len(kv.Key) + len(kv.Value))
-		}
-		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
-		partitions[p] = part
-	}
-	st.ShuffleBytes = shuffleBytes
-	st.ShuffleWall = time.Since(shuffleStart)
-
-	// ---- Reduce phase: group runs of equal keys and fold them.
-	reduceStart := time.Now()
+	// ---- Reduce phase: task p merges the mappers' sorted runs for
+	// partition p, groups equal keys and folds them.
 	reduceOut := make([][]KV, numReducers)
-	var groupCount int64
 	for p := 0; p < numReducers; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -246,29 +230,24 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 				taskRef = reduceRefs[slot]
 			}
 			taskStart := taskRef.StartTimer()
-			part := partitions[p]
-			var out []KV
-			emit := func(k, v string) { out = append(out, KV{k, v}) }
-			for i := 0; i < len(part); {
-				j := i
-				for j < len(part) && part[j].Key == part[i].Key {
-					j++
+			runs := make([][]KV, numMappers)
+			var bytes int64
+			for m := range runs {
+				runs[m] = mapOut[m][p]
+				for _, kv := range runs[m] {
+					bytes += int64(len(kv.Key) + len(kv.Value))
 				}
-				values := make([]string, 0, j-i)
-				for _, kv := range part[i:j] {
-					values = append(values, kv.Value)
-				}
-				job.Reduce(part[i].Key, values, emit)
-				atomic.AddInt64(&groupCount, 1)
-				i = j
 			}
+			out, groups := groupFold(job.Reduce, runs)
 			reduceOut[p] = out
+			shuffleBytes.Add(bytes)
+			groupCount.Add(groups)
 			taskRef.ObserveSince(taskStart)
 		}(p)
 	}
 	wg.Wait()
-	st.ReduceGroups = groupCount
-	st.ReduceWall = time.Since(reduceStart)
+	st.ShuffleBytes = shuffleBytes.Load()
+	st.ReduceGroups = groupCount.Load()
 
 	var out []KV
 	for _, part := range reduceOut {
@@ -278,38 +257,90 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	return out, st, nil
 }
 
-// combine groups a single mapper's partition buffer by key and applies the
-// combiner.
-func combine(c Reducer, records []KV) []KV {
-	if len(records) == 0 {
-		return records
+// byKey orders records by key alone.
+func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
+
+// runSorter stably sorts the buckets of one map task by key, reusing its
+// scratch across them. It sorts record positions, breaking key ties by
+// position, so each record moves twice; a stable sort of the records
+// themselves (slices.SortStableFunc) moves each O(log² n) times.
+type runSorter struct {
+	pos []int
+	tmp []KV
+}
+
+// sort stably sorts run in place; combiner output usually arrives sorted
+// already.
+func (s *runSorter) sort(run []KV) {
+	if slices.IsSortedFunc(run, byKey) {
+		return
 	}
-	sort.SliceStable(records, func(i, j int) bool { return records[i].Key < records[j].Key })
-	var out []KV
+	if cap(s.pos) < len(run) {
+		s.pos = make([]int, len(run))
+		s.tmp = make([]KV, len(run))
+	}
+	pos, tmp := s.pos[:len(run)], s.tmp[:len(run)]
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(a, b int) int {
+		if c := strings.Compare(run[a].Key, run[b].Key); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	for i, p := range pos {
+		tmp[i] = run[p]
+	}
+	copy(run, tmp)
+}
+
+// groupFold merges key-sorted runs, groups equal keys and folds each group
+// with fold, returning what fold emitted and the number of groups. Equal
+// keys are taken from lower-indexed runs first, so a group's values are in
+// the order a stable sort of the runs' concatenation would give them.
+func groupFold(fold Reducer, runs [][]KV) (out []KV, groups int64) {
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	for i := 0; i < len(records); {
-		j := i
-		for j < len(records) && records[j].Key == records[i].Key {
-			j++
+	heads := make([]int, len(runs))
+	for {
+		// first is the lowest-indexed run holding the smallest head key; no
+		// earlier run can hold that key.
+		first := -1
+		for r, run := range runs {
+			if heads[r] < len(run) && (first < 0 || run[heads[r]].Key < runs[first][heads[first]].Key) {
+				first = r
+			}
 		}
-		values := make([]string, 0, j-i)
-		for _, kv := range records[i:j] {
-			values = append(values, kv.Value)
+		if first < 0 {
+			return out, groups
 		}
-		c(records[i].Key, values, emit)
-		i = j
+		key := runs[first][heads[first]].Key
+		n := 0
+		for r := first; r < len(runs); r++ {
+			for i := heads[r]; i < len(runs[r]) && runs[r][i].Key == key; i++ {
+				n++
+			}
+		}
+		values := make([]string, 0, n)
+		for r := first; r < len(runs); r++ {
+			for heads[r] < len(runs[r]) && runs[r][heads[r]].Key == key {
+				values = append(values, runs[r][heads[r]].Value)
+				heads[r]++
+			}
+		}
+		fold(key, values, emit)
+		groups++
 	}
-	return out
 }
 
 // RangePartitioner builds a partitioner from sorted split points: keys below
 // splits[0] go to partition 0, etc. TeraSort-style total ordering uses it
 // with sampled split points.
 func RangePartitioner(splits []string) Partitioner {
-	points := append([]string(nil), splits...)
-	sort.Strings(points)
+	points := slices.Clone(splits)
+	slices.Sort(points)
 	return func(key string, n int) int {
-		idx := sort.SearchStrings(points, key)
+		idx, _ := slices.BinarySearch(points, key)
 		if idx >= n {
 			idx = n - 1
 		}
@@ -330,7 +361,7 @@ func SampleSplits(input []KV, n int, sampleSize int, g *stats.RNG) []string {
 	for i := 0; i < sampleSize; i++ {
 		sample[i] = input[g.IntN(len(input))].Key
 	}
-	sort.Strings(sample)
+	slices.Sort(sample)
 	splits := make([]string, 0, n-1)
 	for i := 1; i < n; i++ {
 		splits = append(splits, sample[i*len(sample)/n])

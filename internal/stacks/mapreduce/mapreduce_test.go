@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,17 +103,47 @@ func TestMapOnlyJob(t *testing.T) {
 				emit(k, v)
 			}
 		},
+		NumReducers: 1,
 	}
-	input := []KV{{"1", "no"}, {"2", "a match here"}, {"3", "nothing"}, {"4", "match"}}
+	// Keys descend, so any key sort on the map-only path would reorder them.
+	input := []KV{{"9", "no"}, {"8", "a match here"}, {"7", "match again"}, {"6", "nothing"},
+		{"5", "match"}, {"4", "match"}, {"3", "no"}, {"2", "match"}, {"1", "match"}}
+	var matches []KV
+	for _, kv := range input {
+		if strings.Contains(kv.Value, "match") {
+			matches = append(matches, kv)
+		}
+	}
 	out, st, err := e.Run(job, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("map-only output %d records, want 2", len(out))
+	if !slices.Equal(out, matches) {
+		t.Fatalf("map-only output %v, want input order %v", out, matches)
 	}
-	if st.OutputRecords != 2 {
+	if st.OutputRecords != int64(len(matches)) {
 		t.Fatalf("stats output %d", st.OutputRecords)
+	}
+
+	// With several partitions the output is each mapper's buckets in
+	// partition order, each bucket still in input order.
+	job.NumReducers = 0
+	out, _, err = e.Run(job, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []KV
+	for _, split := range [][]KV{input[:len(input)/2], input[len(input)/2:]} {
+		for p := 0; p < 2; p++ {
+			for _, kv := range split {
+				if strings.Contains(kv.Value, "match") && HashPartition(kv.Key, 2) == p {
+					want = append(want, kv)
+				}
+			}
+		}
+	}
+	if !slices.Equal(out, want) {
+		t.Fatalf("map-only output %v, want mapper then partition order %v", out, want)
 	}
 }
 
@@ -185,7 +216,6 @@ func TestSortWithRangePartitioner(t *testing.T) {
 		Reduce:      func(k string, vs []string, emit func(k, v string)) { emit(k, strconv.Itoa(len(vs))) },
 		Partition:   RangePartitioner(splits),
 		NumReducers: 4,
-		SortOutput:  true,
 	}
 	out, _, err := New(4).Run(job, input)
 	if err != nil {
@@ -279,5 +309,126 @@ func TestIterativeChaining(t *testing.T) {
 	// one word with count 3 (x), one with 2 (y), one with 1 (z)
 	if got["3"] != "1" || got["2"] != "1" || got["1"] != "1" {
 		t.Fatalf("histogram wrong: %v", got)
+	}
+}
+
+// stableSortOracle is the brute-force reference for Run: each mapper's split
+// emits into per-partition buckets, a combiner folds each bucket after a
+// stable sort, and each partition is the mapper buckets concatenated in
+// mapper order, stably sorted, grouped and reduced.
+func stableSortOracle(job Job, workers int, input []KV) ([]KV, Stats) {
+	numMappers := job.NumMappers
+	if numMappers <= 0 {
+		numMappers = workers
+	}
+	numMappers = max(min(numMappers, len(input)), 1)
+	numReducers := job.NumReducers
+	if numReducers <= 0 {
+		numReducers = workers
+	}
+	partition := job.Partition
+	if partition == nil {
+		partition = HashPartition
+	}
+	fold := func(f Reducer, recs []KV) (out []KV, groups int64) {
+		slices.SortStableFunc(recs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+		for i := 0; i < len(recs); {
+			j := i
+			var values []string
+			for ; j < len(recs) && recs[j].Key == recs[i].Key; j++ {
+				values = append(values, recs[j].Value)
+			}
+			f(recs[i].Key, values, func(k, v string) { out = append(out, KV{k, v}) })
+			groups++
+			i = j
+		}
+		return out, groups
+	}
+	st := Stats{MapInputRecords: int64(len(input))}
+	parts := make([][]KV, numReducers)
+	for m := 0; m < numMappers; m++ {
+		buckets := make([][]KV, numReducers)
+		for _, rec := range input[len(input)*m/numMappers : len(input)*(m+1)/numMappers] {
+			job.Map(rec.Key, rec.Value, func(k, v string) {
+				p := partition(k, numReducers)
+				buckets[p] = append(buckets[p], KV{k, v})
+				st.MapOutputRecords++
+			})
+		}
+		for p, b := range buckets {
+			if job.Combine != nil {
+				b, _ = fold(job.Combine, b)
+				st.CombineOutRecords += int64(len(b))
+			}
+			parts[p] = append(parts[p], b...)
+		}
+	}
+	var out []KV
+	for _, part := range parts {
+		for _, kv := range part {
+			st.ShuffleBytes += int64(len(kv.Key) + len(kv.Value))
+		}
+		reduced, groups := fold(job.Reduce, part)
+		out = append(out, reduced...)
+		st.ReduceGroups += groups
+	}
+	st.OutputRecords = int64(len(out))
+	return out, st
+}
+
+func TestShuffleMatchesStableSortOracle(t *testing.T) {
+	g := stats.NewRNG(13)
+	keys := []string{"a", "b", "ab", "ba", "c", "", "zz", "b "}
+	// Values name their input record and emit position, and both the
+	// combiner and the reducer join them in the order they arrive, so any
+	// change to value order within a group changes the output.
+	job := Job{
+		Name: "oracle",
+		Map: func(k, v string, emit func(k, v string)) {
+			n, _ := strconv.Atoi(v)
+			for i := 0; i < n%4; i++ {
+				emit(keys[(n+i*i)%len(keys)], k+"."+strconv.Itoa(i))
+			}
+		},
+		Reduce: func(k string, vs []string, emit func(k, v string)) {
+			emit(k, strings.Join(vs, ","))
+			if len(vs) > 3 {
+				emit(k, strconv.Itoa(len(vs)))
+			}
+		},
+	}
+	combiners := []Reducer{
+		func(k string, vs []string, emit func(k, v string)) { emit(k, strings.Join(vs, "+")) },
+		// Renaming keys breaks the combiner contract, but the engine must
+		// still hand reducers key-sorted input: "a" -> "ax" sorts after "ab".
+		func(k string, vs []string, emit func(k, v string)) { emit(k+"x", strings.Join(vs, "+")) },
+	}
+	partitioners := []Partitioner{nil, RangePartitioner([]string{"b"}), func(string, int) int { return 0 }}
+	for trial := 0; trial < 200; trial++ {
+		input := make([]KV, g.IntN(60))
+		for i := range input {
+			input[i] = KV{strconv.Itoa(i), strconv.Itoa(g.IntN(1000))}
+		}
+		workers := 1 + g.IntN(5)
+		j := job
+		j.NumMappers = g.IntN(8)
+		j.NumReducers = g.IntN(5)
+		j.Partition = partitioners[g.IntN(len(partitioners))]
+		if c := g.IntN(len(combiners) + 1); c < len(combiners) {
+			j.Combine = combiners[c]
+		}
+		name := fmt.Sprintf("trial %d (workers %d, mappers %d, reducers %d, combiner %v)",
+			trial, workers, j.NumMappers, j.NumReducers, j.Combine != nil)
+		got, st, err := New(workers).Run(j, input)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, wantSt := stableSortOracle(j, workers, input)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: output\n%v\nwant\n%v", name, got, want)
+		}
+		if st != wantSt {
+			t.Fatalf("%s: stats %+v, want %+v", name, st, wantSt)
+		}
 	}
 }

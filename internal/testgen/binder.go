@@ -609,7 +609,6 @@ func (e *MapReduceExecutor) Exec(step Step, reg *Registry) error {
 				}
 			},
 			NumReducers: 1,
-			SortOutput:  true,
 		}
 	case "top":
 		n, err := strconv.Atoi(step.Arg)
