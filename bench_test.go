@@ -358,10 +358,10 @@ func (c *mutexCollector) Add(counter string, delta int64) {
 	c.counters[counter] += delta
 }
 
-// benchObservers drives `goroutines` concurrent recorders (one minted per
-// goroutine) through an observe+count loop and reports the aggregate
+// benchObservers drives `goroutines` concurrent recorders (goroutine g
+// records through mint(g)) through an observe+count loop and reports the aggregate
 // recording rate.
-func benchObservers(b *testing.B, goroutines int, mint func() metrics.Recorder) {
+func benchObservers(b *testing.B, goroutines int, mint func(g int) metrics.Recorder) {
 	per := b.N/goroutines + 1
 	var wg sync.WaitGroup
 	// The record path is zero-allocation once a label exists; the allocs/op
@@ -373,7 +373,7 @@ func benchObservers(b *testing.B, goroutines int, mint func() metrics.Recorder) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := mint()
+			rec := mint(g)
 			d := time.Microsecond
 			for i := 0; i < per; i++ {
 				rec.ObserveLatency("op", d)
@@ -395,15 +395,15 @@ func BenchmarkCollectorParallel(b *testing.B) {
 	const goroutines = 8
 	b.Run("global-mutex", func(b *testing.B) {
 		c := newMutexCollector()
-		benchObservers(b, goroutines, func() metrics.Recorder { return c })
+		benchObservers(b, goroutines, func(int) metrics.Recorder { return c })
 	})
 	b.Run("facade-shared-shard", func(b *testing.B) {
 		c := metrics.NewCollector("bench")
-		benchObservers(b, goroutines, func() metrics.Recorder { return c })
+		benchObservers(b, goroutines, func(int) metrics.Recorder { return c })
 	})
 	b.Run("sharded", func(b *testing.B) {
 		c := metrics.NewCollector("bench")
-		benchObservers(b, goroutines, func() metrics.Recorder { return c.Shard() })
+		benchObservers(b, goroutines, func(g int) metrics.Recorder { return c.Shard(g) })
 		if c.Counter("records") == 0 {
 			b.Fatal("shard writes lost")
 		}
@@ -417,7 +417,7 @@ func BenchmarkCollectorShardScaling(b *testing.B) {
 	for w := 1; w <= maxW; w *= 2 {
 		b.Run(fmt.Sprintf("writers-%d", w), func(b *testing.B) {
 			c := metrics.NewCollector("bench")
-			benchObservers(b, w, func() metrics.Recorder { return c.Shard() })
+			benchObservers(b, w, func(g int) metrics.Recorder { return c.Shard(g) })
 		})
 	}
 }

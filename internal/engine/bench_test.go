@@ -6,6 +6,7 @@ import (
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/raceflag"
+	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -27,6 +28,38 @@ func noopTask() Task {
 func BenchmarkEngineRepOverhead(b *testing.B) {
 	t := noopTask()
 	c := metrics.NewCollector("bench")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := awaitRun(ctx, t, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpenLoopFreshEngineOp measures one open-loop operation of a
+// workload that builds and instruments a fresh two-worker mapreduce engine
+// per request, as the open-loop grep workload does, on one sampling
+// collector. Its allocs/op column is gated by benchdiff (FreshEngine
+// filter): the engine resolves its task shards from the collector's slot
+// pools, so a request allocates only the job's own data. Minting fresh
+// shards per request instead adds shards, cells and sample buffers to every
+// operation and trips the gate.
+func BenchmarkOpenLoopFreshEngineOp(b *testing.B) {
+	input := []mapreduce.KV{{Key: "1", Value: "a b"}, {Key: "2", Value: "b c"}, {Key: "3", Value: "c a"}}
+	job := mapreduce.Job{
+		Name:   "wc",
+		Map:    func(_, v string, emit func(k, v string)) { emit(v, "1") },
+		Reduce: func(k string, vs []string, emit func(k, v string)) { emit(k, "1") },
+	}
+	w := fakeWorkload{name: "fresh-engine", run: func(_ context.Context, _ workloads.Params, c *metrics.Collector) error {
+		_, _, err := mapreduce.New(2).Instrument(c).Run(job, input)
+		return err
+	}}
+	t := Task{Workload: w, Category: w.Category(), Params: workloads.Params{Seed: 1, Scale: 1, Workers: 2}}
+	c := metrics.NewCollector("bench")
+	c.EnableSampling(64)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -9,6 +9,7 @@ import (
 
 	"github.com/bdbench/bdbench/internal/loadgen"
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -154,5 +155,45 @@ func TestOpenLoopScheduleIdenticalAcrossEngineWorkers(t *testing.T) {
 			t.Fatalf("task %d: offered load differs across engine workers: %d/%d vs %d/%d",
 				i, s.Scheduled, s.Dispatched, p.Scheduled, p.Dispatched)
 		}
+	}
+}
+
+// TestOpenLoopFreshEnginePerRequest: a workload that builds and instruments
+// a fresh mapreduce engine on every request records into the collector's
+// pooled slot shards, so a per-cell sample capacity of at least the request
+// count keeps every stream complete: each request adds one map and one
+// reduce task to each worker slot's cells.
+func TestOpenLoopFreshEnginePerRequest(t *testing.T) {
+	const rate, window, workers = 200, 250 * time.Millisecond, 2
+	const requests = 50 // rate × window
+	input := []mapreduce.KV{{Key: "1", Value: "a b"}, {Key: "2", Value: "b c"}, {Key: "3", Value: "c a"}}
+	job := mapreduce.Job{
+		Name:   "wc",
+		Map:    func(_, v string, emit func(k, v string)) { emit(v, "1") },
+		Reduce: func(k string, vs []string, emit func(k, v string)) { emit(k, "1") },
+	}
+	w := fakeWorkload{name: "fresh-engine", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+		_, _, err := mapreduce.New(workers).Instrument(c).Run(job, input)
+		return err
+	}}
+	results := Run(context.Background(), []Task{openLoopTask(w, rate, window)}, Config{Workers: 1, SampleCap: requests})
+	res := results[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Load.Dispatched != requests {
+		t.Fatalf("dispatched %d requests, want %d", res.Load.Dispatched, requests)
+	}
+	var tasks int
+	for _, s := range res.Median.Samples {
+		if s.Dropped != 0 {
+			t.Errorf("op %s dropped %d samples at capacity %d", s.Op, s.Dropped, requests)
+		}
+		if s.Op == "map_task" || s.Op == "reduce_task" {
+			tasks += len(s.Values)
+		}
+	}
+	if tasks != 2*workers*requests {
+		t.Fatalf("captured %d task samples, want %d", tasks, 2*workers*requests)
 	}
 }

@@ -151,11 +151,11 @@ type runState struct {
 }
 
 // newRunState builds the dispatch machinery for one run. now is the clock
-// (t0 is read from it immediately); rec mirrors observations into the
-// sharded metrics pipeline and may be nil.
+// (t0 is read from it immediately); rec mirrors observations into its
+// substrate shard 0 and may be nil.
 func newRunState(ctx context.Context, op func(context.Context) error, rec metrics.Recorder, now func() time.Time, buffered int) *runState {
 	r := &runState{ctx: ctx, op: op, now: now}
-	subRec := metrics.SubstrateShardOf(rec)
+	subRec := metrics.SubstrateShardOf(rec, 0)
 	r.reqRef = metrics.OpRefOf(subRec, OpRequest)
 	r.svcRef = metrics.OpRefOf(subRec, OpService)
 	r.waitRef = metrics.OpRefOf(subRec, OpWait)

@@ -152,7 +152,7 @@ func TestOpRefResolution(t *testing.T) {
 // shard's substrate marking at snapshot time.
 func TestOpRefSubstrateShard(t *testing.T) {
 	c := NewCollector("wl")
-	sub := c.SubstrateShard()
+	sub := c.SubstrateShard(0)
 	sub.Op("echo").Observe(time.Millisecond)
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()

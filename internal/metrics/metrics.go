@@ -7,11 +7,14 @@
 //
 // Collection is sharded so measurement never becomes the bottleneck it is
 // meant to observe: a Collector is a set of Shards merged only at Snapshot
-// time, every worker goroutine of a parallel stack can mint a private shard
+// time, every worker slot of a parallel stack records into its own shard
 // (Collector.Shard, ShardOf), and recording into a shard is lock-free —
 // atomic counter cells and atomic fixed-bucket latency histograms
 // (stats.AtomicLatencyHistogram), with a mutex taken only on the first use
-// of a new label.
+// of a new label. Shards are pooled per collector by slot index, so the
+// shard set grows with stack width, never with how many times a stack runs:
+// runs that overlap on one collector share a slot's cells, which is sound
+// because every cell is atomic.
 package metrics
 
 import (
@@ -65,9 +68,9 @@ const DatagenItems = "datagen_items"
 //
 // Internally it is a set of shards merged only at Snapshot time: every
 // recording method delegates to a default shard whose hot path is lock-free,
-// and worker goroutines can mint private shards with Shard so their
-// operation loops never contend with each other at all. The collector's own
-// mutex guards only the measured-interval lifecycle and the shard list.
+// and worker slots record into pooled shards (Shard, SubstrateShard) so
+// their operation loops do not contend with each other. The collector's own
+// mutex guards only the measured-interval lifecycle and the shard pools.
 type Collector struct {
 	name string
 
@@ -76,9 +79,13 @@ type Collector struct {
 	started bool
 	stopped bool
 	elapsed time.Duration
-	shards  []*Shard
-	def     *Shard
-	dgen    *Shard
+	// shards is every shard Snapshot merges: def plus each pooled shard in
+	// mint order.
+	shards []*Shard
+	def    *Shard
+	// user and sub are the slot-indexed shard pools behind Shard and
+	// SubstrateShard; a nil entry is a slot not used yet.
+	user, sub []*Shard
 	// sampling, when set (EnableSampling), is handed to every shard so raw
 	// latency streams are captured alongside the histograms.
 	sampling *samplingState
@@ -93,30 +100,47 @@ func NewCollector(name string) *Collector {
 // Name returns the workload name the collector was created with.
 func (c *Collector) Name() string { return c.name }
 
-// Shard mints a private recording shard merged into this collector's
-// snapshots. Each worker goroutine of a parallel stack should hold its own
-// shard so hot operation loops record without any shared-lock contention.
-func (c *Collector) Shard() *Shard {
-	s := NewShard()
+// Shard returns the collector's slot-th user-level recording shard, minting
+// it on first use; every later call with the same slot returns the same
+// shard. A parallel workload passes each worker's index, so hot operation
+// loops record without shared-lock contention, and repeated or overlapping
+// runs reuse the same shards instead of growing the set Snapshot merges.
+func (c *Collector) Shard(slot int) *Shard { return c.pooled(&c.user, slot, false) }
+
+// SubstrateShard is Shard for stack-internal measurement: the slot-th
+// shard of a separate pool whose latency observations are merged into
+// snapshots like any other but do not count toward Throughput (they echo
+// work the workload already measures at its own level). Stacks obtain one
+// through SubstrateShardOf.
+func (c *Collector) SubstrateShard(slot int) *Shard { return c.pooled(&c.sub, slot, true) }
+
+// pooled returns (*pool)[slot], minting it with the collector's sampling
+// state on first use.
+func (c *Collector) pooled(pool *[]*Shard, slot int, substrate bool) *Shard {
+	if slot < 0 {
+		panic(fmt.Sprintf("metrics: negative shard slot %d", slot))
+	}
 	c.mu.Lock()
-	s.sampling = c.sampling
+	defer c.mu.Unlock()
+	for len(*pool) <= slot {
+		*pool = append(*pool, nil)
+	}
+	if s := (*pool)[slot]; s != nil {
+		return s
+	}
+	s := &Shard{substrate: substrate, sampling: c.sampling}
+	(*pool)[slot] = s
 	c.shards = append(c.shards, s)
-	c.mu.Unlock()
 	return s
 }
 
-// SubstrateShard mints a shard for stack-internal measurement: merged into
-// snapshots like any other, but its latency observations do not count
-// toward Throughput (they echo work the workload already measures at its
-// own level). Stacks obtain one through SubstrateShardOf.
-func (c *Collector) SubstrateShard() *Shard {
-	s := NewShard()
-	s.substrate = true
+// ShardCount reports how many shards Snapshot merges: the default shard
+// plus every pooled slot minted so far. It depends on the width of the
+// stacks that recorded, not on how many times they ran.
+func (c *Collector) ShardCount() int {
 	c.mu.Lock()
-	s.sampling = c.sampling
-	c.shards = append(c.shards, s)
-	c.mu.Unlock()
-	return s
+	defer c.mu.Unlock()
+	return len(c.shards)
 }
 
 // Start marks the beginning of the measured interval.
@@ -143,20 +167,11 @@ func (c *Collector) Stop() {
 
 // RecordDatagen records d of data-preparation wall time and the number of
 // input items it produced into the data-generation metric family. The
-// observation lands in a dedicated substrate-style shard: it appears in the
-// Ops profile and as Result.DataPrep, but never counts toward Throughput
-// (preparing input is not serving an operation). Safe for concurrent use.
+// observation lands in substrate slot 0: it appears in the Ops profile and
+// as Result.DataPrep, but never counts toward Throughput (preparing input
+// is not serving an operation). Safe for concurrent use.
 func (c *Collector) RecordDatagen(d time.Duration, items int64) {
-	c.mu.Lock()
-	if c.dgen == nil {
-		s := NewShard()
-		s.substrate = true
-		s.sampling = c.sampling
-		c.dgen = s
-		c.shards = append(c.shards, s)
-	}
-	s := c.dgen
-	c.mu.Unlock()
+	s := c.SubstrateShard(0)
 	s.ObserveLatency(DatagenOp, d)
 	if items > 0 {
 		s.Add(DatagenItems, items)

@@ -31,9 +31,9 @@ func TestSamplingCapturesAllPaths(t *testing.T) {
 	// shard, datagen.
 	c.ObserveLatency("read", time.Millisecond)
 	c.Op("read").Observe(2 * time.Millisecond)
-	sh := c.Shard()
+	sh := c.Shard(0)
 	sh.ObserveLatency("read", 3*time.Millisecond)
-	sub := c.SubstrateShard()
+	sub := c.SubstrateShard(0)
 	sub.Op("echo").Observe(4 * time.Millisecond)
 	c.RecordDatagen(5*time.Millisecond, 10)
 
@@ -100,7 +100,7 @@ func TestSamplingDeterministicAcrossShardCounts(t *testing.T) {
 		c.EnableSamplingClock(1024, t0, func() time.Time { return t0 })
 		var wg sync.WaitGroup
 		for w := 0; w < shardCount; w++ {
-			sh := c.Shard()
+			sh := c.Shard(w)
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
@@ -159,7 +159,7 @@ func TestSamplingConcurrentSnapshot(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		sh := c.Shard()
+		sh := c.Shard(w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -12,37 +12,40 @@ import (
 // §3.1 metric families a workload feeds while it runs — per-operation
 // latencies (user-perceivable) and abstract-operation counters
 // (architecture). Both *Collector and *Shard implement it, so stacks and
-// workloads can accept either a whole collector or a private shard.
+// workloads can accept either a whole collector or one of its shards.
 type Recorder interface {
 	ObserveLatency(op string, d time.Duration)
 	Add(counter string, delta int64)
 }
 
-// Sharder is implemented by recorders that can mint private shards.
+// Sharder is implemented by recorders that pool shards by slot.
 type Sharder interface {
 	Recorder
-	Shard() *Shard
+	Shard(slot int) *Shard
 }
 
-// ShardOf returns a private shard minted from rec when rec supports
-// sharding, and rec itself otherwise (a *Shard is already a contention-free
-// handle; a nil Recorder stays nil). Worker goroutines call it once at
-// start-up so their hot loops record without touching shared state.
-func ShardOf(rec Recorder) Recorder {
+// ShardOf returns rec's slot-th pooled shard when rec supports sharding, and
+// rec itself otherwise (a *Shard is already a contention-free handle; a nil
+// Recorder stays nil). Worker goroutines call it once at start-up with
+// their worker index, so their hot loops record without touching shared
+// state and a second run of the same worker records into the same shard.
+func ShardOf(rec Recorder, slot int) Recorder {
 	if s, ok := rec.(Sharder); ok {
-		return s.Shard()
+		return s.Shard(slot)
 	}
 	return rec
 }
 
-// SubstrateShardOf is ShardOf for stack-internal measurement: the minted
-// shard is marked as substrate-level, so its latency observations (per-task,
+// SubstrateShardOf is ShardOf for stack-internal measurement: the slot-th
+// shard of the substrate pool, whose latency observations (per-task,
 // per-superstep, per-store-op echoes underneath a workload's own
 // measurements) appear in Result.Ops but are excluded from the Throughput
 // total, which must count each logical workload operation exactly once.
-func SubstrateShardOf(rec Recorder) Recorder {
-	if s, ok := rec.(interface{ SubstrateShard() *Shard }); ok {
-		return s.SubstrateShard()
+// A stack passes the natural index of the recording unit (worker slot,
+// stage, partition), so the shard count tracks the stack's width.
+func SubstrateShardOf(rec Recorder, slot int) Recorder {
+	if s, ok := rec.(interface{ SubstrateShard(int) *Shard }); ok {
+		return s.SubstrateShard(slot)
 	}
 	return rec
 }
@@ -208,14 +211,14 @@ func (c *opCell) observe(d time.Duration) {
 	}
 }
 
-// Shard is a contention-free recording handle. Each worker goroutine of a
-// parallel stack obtains its own shard (Collector.Shard or ShardOf), so hot
-// operation loops never serialize on a shared lock: recording an observation
-// is a handful of atomic adds on cells private to the shard. Shards are
-// nevertheless safe for concurrent use — a snapshot may race with in-flight
-// observes and writers may share a shard — because every cell is atomic; the
-// per-shard mutex guards only the rare copy-on-write insertion of a new
-// operation or counter label.
+// Shard is a contention-free recording handle. Each worker slot of a
+// parallel stack records into its own shard (Collector.Shard or ShardOf), so
+// hot operation loops never serialize on a shared lock: recording an
+// observation is a handful of atomic adds on the shard's cells. Shards are
+// safe for concurrent use — a snapshot may race with in-flight observes, and
+// overlapping runs of a stack on one collector share a slot's shard —
+// because every cell is atomic; the per-shard mutex guards only the rare
+// copy-on-write insertion of a new operation or counter label.
 type Shard struct {
 	mu       sync.Mutex // serializes copy-on-write map growth only
 	lat      atomic.Pointer[latMap]

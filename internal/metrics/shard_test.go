@@ -21,7 +21,7 @@ func TestShardedWritersMatchSequentialBaseline(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := sharded.Shard()
+			s := sharded.Shard(w)
 			for i := 0; i < perWorker; i++ {
 				s.ObserveLatency("op", time.Duration(i%100)*time.Microsecond)
 				s.ObserveLatency(fmt.Sprintf("op-%d", w%2), time.Microsecond)
@@ -77,7 +77,7 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 			defer wg.Done()
 			var rec Recorder = c
 			if w%2 == 0 {
-				rec = c.Shard()
+				rec = c.Shard(w)
 			}
 			// At least one observation per writer, even if the snapshot
 			// loop finishes before this goroutine is first scheduled.
@@ -118,16 +118,16 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 	}
 }
 
-// TestShardOf: collectors mint fresh shards, shards pass through, nil stays
-// nil-ish.
+// TestShardOf: collectors hand out pooled shards, shards pass through, nil
+// stays nil-ish.
 func TestShardOf(t *testing.T) {
 	c := NewCollector("wl")
-	h := ShardOf(c)
+	h := ShardOf(c, 0)
 	if _, ok := h.(*Shard); !ok {
 		t.Fatalf("ShardOf(collector) = %T, want *Shard", h)
 	}
 	s := NewShard()
-	if ShardOf(s) != Recorder(s) {
+	if ShardOf(s, 0) != Recorder(s) {
 		t.Fatal("ShardOf(shard) should return the shard itself")
 	}
 	h.ObserveLatency("op", time.Millisecond)
@@ -147,7 +147,7 @@ func TestSubstrateShardsExcludedFromThroughput(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.ObserveLatency("read", time.Microsecond) // workload level
 	}
-	sub := SubstrateShardOf(c)
+	sub := SubstrateShardOf(c, 0)
 	if s, ok := sub.(*Shard); !ok || !s.substrate {
 		t.Fatalf("SubstrateShardOf(collector) = %T, want substrate *Shard", sub)
 	}
@@ -173,7 +173,7 @@ func TestSubstrateShardsExcludedFromThroughput(t *testing.T) {
 	if r.Counters["bytes"] != 4096 {
 		t.Fatalf("substrate counter lost: %v", r.Counters)
 	}
-	if s := NewShard(); SubstrateShardOf(s) != Recorder(s) {
+	if s := NewShard(); SubstrateShardOf(s, 0) != Recorder(s) {
 		t.Fatal("SubstrateShardOf(shard) should return the shard itself")
 	}
 }

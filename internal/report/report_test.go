@@ -92,7 +92,7 @@ func TestResultRowsPreferWorkloadOpsOverSubstrate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.ObserveLatency("read", 4*time.Millisecond)
 	}
-	sub := metrics.SubstrateShardOf(c)
+	sub := metrics.SubstrateShardOf(c, 0)
 	for i := 0; i < 100; i++ {
 		sub.ObserveLatency("db_execute", 9*time.Second)
 	}
@@ -104,7 +104,7 @@ func TestResultRowsPreferWorkloadOpsOverSubstrate(t *testing.T) {
 	}
 	// With only substrate ops recorded, fall back to them rather than dashes.
 	onlySub := metrics.NewCollector("subonly")
-	s := metrics.SubstrateShardOf(onlySub)
+	s := metrics.SubstrateShardOf(onlySub, 0)
 	s.ObserveLatency("map_task", 2*time.Millisecond)
 	onlySub.SetElapsed(time.Second)
 	rows = ResultRows([]metrics.Result{onlySub.Snapshot()})

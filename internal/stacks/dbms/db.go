@@ -38,10 +38,10 @@ func Open() *DB {
 
 // Instrument attaches a measurement recorder and returns the database.
 // Executor-level wall times ("db_execute", "db_load", "db_index") are
-// recorded into a private shard minted from rec, underneath whatever the
-// calling workload measures itself.
+// recorded into rec's substrate shard 0, underneath whatever the calling
+// workload measures itself.
 func (db *DB) Instrument(rec metrics.Recorder) *DB {
-	db.rec = metrics.SubstrateShardOf(rec)
+	db.rec = metrics.SubstrateShardOf(rec, 0)
 	return db
 }
 

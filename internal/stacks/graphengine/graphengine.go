@@ -84,10 +84,11 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Instrument attaches a measurement recorder and returns the engine. Each
-// BSP worker records its per-superstep compute wall time into a private
-// shard minted from rec, and the coordinator records whole-superstep wall
-// times, all without shared-lock contention on the compute path.
+// Instrument attaches a measurement recorder and returns the engine. BSP
+// worker w records its per-superstep compute wall time into rec's substrate
+// shard w, and the coordinator records whole-superstep wall times into
+// shard 0, all without shared-lock contention on the compute path. Every
+// run on the same recorder reuses those shards.
 func (e *Engine) Instrument(rec metrics.Recorder) *Engine {
 	e.rec = rec
 	return e
@@ -121,18 +122,19 @@ func (e *Engine) Run(g *graphgen.Graph, prog Program, maxSupersteps int) (Result
 	var totalMsgs int64
 	start := time.Now()
 
-	// One private shard per worker, reused across supersteps: only worker w
-	// touches computeRefs[w] during a superstep, so compute-time recording
-	// never contends. The OpRefs are resolved here, once, so the superstep
-	// loop records through direct histogram handles instead of per-call
-	// label lookups (bdvet:oprefed enforces this).
+	// Worker w records into substrate shard w across supersteps: within a
+	// run only worker w touches computeRefs[w], so compute-time recording
+	// never contends (overlapping runs on one recorder share the atomic
+	// cells). The OpRefs are resolved here, once, so the superstep loop
+	// records through direct histogram handles instead of per-call label
+	// lookups (bdvet:oprefed enforces this).
 	var computeRefs []metrics.OpRef
 	var superstepRef metrics.OpRef
 	if e.rec != nil {
-		superstepRef = metrics.OpRefOf(metrics.SubstrateShardOf(e.rec), "superstep")
+		superstepRef = metrics.OpRefOf(metrics.SubstrateShardOf(e.rec, 0), "superstep")
 		computeRefs = make([]metrics.OpRef, e.workers)
 		for w := range computeRefs {
-			computeRefs[w] = metrics.OpRefOf(metrics.SubstrateShardOf(e.rec), "compute")
+			computeRefs[w] = metrics.OpRefOf(metrics.SubstrateShardOf(e.rec, w), "compute")
 		}
 	}
 

@@ -78,11 +78,12 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Instrument attaches a measurement recorder and returns the engine. Each
-// run mints one substrate shard per worker slot (when rec can shard) and
-// map/reduce tasks record their per-task wall times into the shard of the
-// slot they run on, so task-level measurement adds no shared-lock
-// contention to the job's hot path.
+// Instrument attaches a measurement recorder and returns the engine.
+// Map/reduce tasks record their per-task wall times into rec's substrate
+// shard for the worker slot they run on (when rec can shard), so
+// task-level measurement adds no shared-lock contention to the job's hot
+// path, and every run of an engine on the same recorder reuses the same
+// slot shards.
 func (e *Engine) Instrument(rec metrics.Recorder) *Engine {
 	e.rec = rec
 	return e
@@ -131,24 +132,25 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	var st Stats
 	st.MapInputRecords = int64(len(input))
 
-	// One substrate shard per worker slot, shared by map and reduce phases:
-	// tasks acquire a slot before running, so a shard never has two
-	// concurrent writers and the shard count is bounded by the worker pool,
-	// not by the task count.
+	// Tasks acquire a worker slot before running, and slot i records into
+	// the recorder's substrate shard i, shared by map and reduce phases and
+	// by every run of an engine this wide on the same recorder: the shard
+	// count is bounded by the worker pool, not by the task or run count.
+	// Within a run a slot's shard has one writer at a time; runs that
+	// overlap on one recorder share it, which the atomic cells allow.
 	slots := make(chan int, e.workers)
 	for i := 0; i < e.workers; i++ {
 		slots <- i
 	}
-	// One private shard per worker slot, with the task-latency OpRefs
-	// resolved up front: the per-task goroutines then record through
-	// direct histogram handles, never a per-call label lookup
-	// (bdvet:oprefed enforces this).
+	// The task-latency OpRefs are resolved up front: the per-task
+	// goroutines then record through direct histogram handles, never a
+	// per-call label lookup (bdvet:oprefed enforces this).
 	var mapRefs, reduceRefs []metrics.OpRef
 	if e.rec != nil {
 		mapRefs = make([]metrics.OpRef, e.workers)
 		reduceRefs = make([]metrics.OpRef, e.workers)
 		for i := 0; i < e.workers; i++ {
-			shard := metrics.SubstrateShardOf(e.rec)
+			shard := metrics.SubstrateShardOf(e.rec, i)
 			mapRefs[i] = metrics.OpRefOf(shard, "map_task")
 			reduceRefs[i] = metrics.OpRefOf(shard, "reduce_task")
 		}

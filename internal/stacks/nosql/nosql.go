@@ -75,16 +75,17 @@ func (s *Store) Type() stacks.Type { return stacks.TypeNoSQL }
 
 var _ stacks.Stack = (*Store)(nil)
 
-// Instrument attaches a measurement recorder and returns the store. Each
-// partition mints a private shard from rec and records its store-level
-// operation latencies ("kv_read", "kv_insert", ...) there, mirroring the
-// store's own contention domains: clients hitting different partitions
-// never share a measurement cell either.
+// Instrument attaches a measurement recorder and returns the store.
+// Partition i records its store-level operation latencies ("kv_read",
+// "kv_insert", ...) into rec's substrate shard i, mirroring the store's own
+// contention domains: clients hitting different partitions never share a
+// measurement cell either. Scans, which span partitions, record into shard
+// len(partitions).
 func (s *Store) Instrument(rec metrics.Recorder) *Store {
-	for _, p := range s.parts {
-		p.rec = metrics.SubstrateShardOf(rec)
+	for i, p := range s.parts {
+		p.rec = metrics.SubstrateShardOf(rec, i)
 	}
-	s.scanRec = metrics.SubstrateShardOf(rec)
+	s.scanRec = metrics.SubstrateShardOf(rec, len(s.parts))
 	return s
 }
 

@@ -213,10 +213,11 @@ func New(buffer int) *Engine {
 	return &Engine{buffer: buffer}
 }
 
-// Instrument attaches a measurement recorder and returns the engine. Each
-// pipeline stage goroutine records its wall time (source open to sink
-// close, which includes backpressure stalls) into a private shard minted
-// from rec, keeping measurement off the per-message hot path.
+// Instrument attaches a measurement recorder and returns the engine. Stage
+// i's goroutine records its wall time (source open to sink close, which
+// includes backpressure stalls) into rec's substrate shard i, reused by
+// every run on the same recorder, keeping measurement off the per-message
+// hot path.
 func (e *Engine) Instrument(rec metrics.Recorder) *Engine {
 	e.rec = rec
 	return e
@@ -255,19 +256,19 @@ func (e *Engine) Run(events []streamgen.Event, stages ...Stage) Result {
 	}()
 	in := (<-chan Msg)(src)
 	var stageWG sync.WaitGroup
-	for _, st := range stages {
+	for i, st := range stages {
 		out := make(chan Msg, e.buffer)
 		stageWG.Add(1)
-		go func(st Stage, in <-chan Msg, out chan<- Msg) {
+		go func(i int, st Stage, in <-chan Msg, out chan<- Msg) {
 			defer stageWG.Done()
 			// Resolve the stage's latency ref once, up front: the label is
 			// built per stage (not per message), and the observation below
 			// goes through a direct histogram handle.
-			stageRef := metrics.OpRefOf(metrics.SubstrateShardOf(e.rec), "stage:"+st.Name())
+			stageRef := metrics.OpRefOf(metrics.SubstrateShardOf(e.rec, i), "stage:"+st.Name())
 			stageStart := stageRef.StartTimer()
 			st.Run(in, out)
 			stageRef.ObserveSince(stageStart)
-		}(st, in, out)
+		}(i, st, in, out)
 		in = out
 	}
 	var collected []Msg

@@ -74,11 +74,11 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 	ops := int64(p.Scale) * 2000
 	chooser := stats.ScrambledZipf{Count: graph.N, S: 1.2}
 	nextNode := graph.N
-	// The request loop records into a private shard so its per-operation
-	// measurements never touch the collector's shared state, through
+	// The request loop records into user shard 0 so its per-operation
+	// measurements never touch the collector's default shard, through
 	// OpRefs resolved once here so the loop never pays the per-call label
 	// lookup (bdvet:oprefed enforces this).
-	rec := metrics.ShardOf(c)
+	rec := metrics.ShardOf(c, 0)
 	selectRef := metrics.OpRefOf(rec, "select")
 	rangeRef := metrics.OpRefOf(rec, "assoc_range")
 	countRef := metrics.OpRefOf(rec, "count")

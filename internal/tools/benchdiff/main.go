@@ -300,7 +300,7 @@ func run() error {
 	threshold := flag.Float64("threshold", 1.25, "fail when the gated geomean ns/op ratio exceeds this")
 	allocThreshold := flag.Float64("alloc-threshold", 1.25,
 		"fail when a gated bench's allocs/op exceeds baseline × this (zero baselines must stay exactly 0)")
-	filter := flag.String("filter", "Datagen,Collector,Schedule,Dispatch,RepOverhead,MapReduceWordCount",
+	filter := flag.String("filter", "Datagen,Collector,Schedule,Dispatch,RepOverhead,MapReduceWordCount,FreshEngine",
 		"comma-separated substrings selecting the gated benches")
 	calibrate := flag.Bool("calibrate", true,
 		"normalize ns/op by the non-gated benches' geomean (machine-speed factor)")

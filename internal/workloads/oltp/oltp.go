@@ -147,7 +147,7 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 			// Each client records into its own shard: the operation loop
 			// below is the hottest measurement path in bdbench and must not
 			// serialize clients on a shared collector lock.
-			shard := c.Shard()
+			shard := c.Shard(cl)
 			g := stats.NewRNG(p.Seed).Split("client", cl)
 			chooser := w.chooser(&run.insertCursor, recordCount)
 			for op := int64(0); op < perClient; op++ {
